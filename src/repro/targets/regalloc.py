@@ -39,7 +39,7 @@ from repro.targets.machine import (
 
 #: Semantics whose first operand is a definition.
 _DEF0 = {Semantics.MOV, Semantics.ALU, Semantics.CMP, Semantics.LOAD,
-         Semantics.LEA, Semantics.POP, Semantics.CVT, Semantics.ALLOCA}
+         Semantics.LEA, Semantics.POP, Semantics.CVT}
 
 
 def instr_defs_uses(instr: MachineInstr
@@ -528,6 +528,12 @@ class LinearScanAllocator:
                             operand.base = resolve(operand.base, False)
                         if isinstance(operand.index, VirtualReg):
                             operand.index = resolve(operand.index, False)
+                # The instruction reads its uses before writing its
+                # defs, so once the free scratch registers run out a
+                # def may take one that holds a use.
+                for phys in local.values():
+                    pool["float" if phys.is_float else "int"].append(
+                        phys.name)
                 for index in defs:
                     operand = instr.operands[index]
                     if isinstance(operand, VirtualReg):

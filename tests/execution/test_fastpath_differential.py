@@ -29,17 +29,16 @@ escalations all occur inside small scenarios.  Whatever mix of tier-1,
 deferred, escalated, and OSR execution a timing happens to produce,
 the observations must still match the oracle byte for byte.
 
-Two more configurations force tier 3 (hosted native execution) on
-each simulated back end: every function is translated to x86 or SPARC
-machine code on its first lookup and run by the hosted executor, with
-traps delivered mid-native-frame deopting back to tier 1.  Functions
-the hosted lowering cannot take (invoke/unwind bodies) pin and fall
-back down the ladder, which is itself part of the contract under
-test: the observations must stay identical either way.  These
-configurations execute under the default block-compiled
-direct-threaded backend; a dedicated workload parity test
-additionally forces the one-instruction step oracle on both targets
-and requires identical observations from the two backends.
+Two more configurations run the ``--target`` path: the module is
+translated offline for x86 or SPARC and executed by the machine
+simulator, so the whole corpus doubles as a code-generation
+conformance suite for both back ends.  The simulator's step counter
+counts machine instructions, so these configurations are compared on
+everything but steps: outcome kind, return value, output, exit status,
+and trap number.  Scenarios that call intrinsics only the interpreters
+implement (``llva.trap.register``, ``llva.trap.raise``,
+``llva.register.read``, ``llva.exceptions.set``) opt out of the native
+configurations.
 """
 
 import pytest
@@ -54,9 +53,12 @@ from repro.execution import (
     StepLimitExceeded,
 )
 from repro.execution.fastpath import FUSE_MIN
+from repro.execution.machine_sim import MachineSimulator
 from repro.ir import verify_module
+from repro.llee.jit import FunctionJIT
 from repro.llee.tracecache import SoftwareTraceCache
 from repro.minic import compile_source
+from repro.targets import make_target, translate_module
 
 SCALE = 0.05
 
@@ -66,15 +68,21 @@ ENGINES = ("reference", "fast")
 #: mode is False (off), True (forced plain tier 2), "superblock"
 #: (forced tier 2 with superblocks and OSR), or "async" (superblocks
 #: plus background compilation with deterministic-outcome swap-in).
+#: An engine named after a target runs the translated module on the
+#: machine simulator.
 CONFIGS = (
     ("reference", "reference", False),
     ("fast", "fast", False),
     ("tier2", "fast", True),
     ("superblock", "fast", "superblock"),
     ("async", "fast", "async"),
-    ("tier3-x86", "fast", "tier3-x86"),
-    ("tier3-sparc", "fast", "tier3-sparc"),
+    ("x86", "x86", False),
+    ("sparc", "sparc", False),
 )
+
+#: Engines that run translated machine code.  Their step counter counts
+#: machine instructions, so they are compared on everything but steps.
+NATIVE_ENGINES = ("x86", "sparc")
 
 
 def _superblock_cache(module):
@@ -100,29 +108,12 @@ def _async_cache(module):
                       async_compile=True, escalate_step_threshold=64)
 
 
-def _tier3_cache(module, target_name, backend="threaded"):
-    """A Tier2Cache with tier-3 promotion forced: every function is
-    translated to native code on first lookup and run by the hosted
-    executor (unsupported bodies pin and fall back to tier 2/1).
-    ``backend`` picks the hosted execution backend — the
-    block-compiled threaded units (default) or the one-instruction
-    step oracle they are pinned to."""
-    from repro.execution.tier2 import Tier2Cache
-
-    return Tier2Cache(module, module.target_data, threshold=0,
-                      tier3=True, tier3_threshold=0,
-                      tier3_target=target_name,
-                      tier3_backend=backend)
-
-
 def _make_interpreter(module, engine, tier2, privileged=False,
                       sanitize=False):
     if tier2 == "superblock":
         cache = _superblock_cache(module)
     elif tier2 == "async":
         cache = _async_cache(module)
-    elif tier2 in ("tier3-x86", "tier3-sparc"):
-        cache = _tier3_cache(module, tier2.split("-", 1)[1])
     else:
         return Interpreter(module, privileged=privileged, engine=engine,
                            sanitize=sanitize, tier2=tier2,
@@ -138,9 +129,44 @@ def _close_tier2(interpreter, cache_mode):
         interpreter.tier2.close()
 
 
+def _native_outcome(module, target_name, entry="main", args=()):
+    """Translate *module* for a target and run it on the machine
+    simulator (the ``--target`` path); the outcome has the shape
+    :func:`_observable` gives an interpreter outcome.  The JIT resolver
+    retranslates functions that self-modifying code replaced."""
+    target = make_target(target_name)
+    simulator = MachineSimulator(
+        translate_module(module, target), module,
+        resolver=FunctionJIT(module, target).translate)
+    try:
+        value, status = simulator.run(entry, list(args))
+    except ExecutionTrap as trap:
+        return ("trap", trap.trap_number)
+    return ("ok", value, simulator.output_text(), status)
+
+
+def _observable(outcome):
+    """An interpreter outcome without its step count."""
+    if outcome[0] == "trap":
+        return outcome[:2]
+    return outcome[:3] + outcome[4:]
+
+
+def assert_matches_reference(outcomes):
+    """Every configuration's outcome equals the reference engine's,
+    steps excepted for the native engines."""
+    reference = outcomes["reference"]
+    for label, outcome in outcomes.items():
+        expected = _observable(reference) if label in NATIVE_ENGINES \
+            else reference
+        assert outcome == expected, label
+
+
 def _outcome(module, entry="main", args=(), privileged=False,
              engine="reference", tier2=False):
     """Run and capture (kind, ...) so trap runs compare structurally."""
+    if engine in NATIVE_ENGINES:
+        return _native_outcome(module, engine, entry, args)
     interpreter = _make_interpreter(module, engine, tier2,
                                     privileged=privileged)
     try:
@@ -153,21 +179,20 @@ def _outcome(module, entry="main", args=(), privileged=False,
             result.exit_status)
 
 
-def run_both(source, entry="main", args=(), privileged=False):
-    """Assemble *source* per configuration (reference, fast, and
-    tier-2-forced fast) and assert identical outcomes."""
+def run_both(source, entry="main", args=(), privileged=False,
+             native=True):
+    """Assemble *source* afresh per configuration and assert identical
+    outcomes.  ``native=False`` skips the machine-simulator engines, for
+    scenarios that call interpreter-only intrinsics."""
     outcomes = {}
     for label, engine, tier2 in CONFIGS:
+        if engine in NATIVE_ENGINES and not native:
+            continue
         module = parse_module(source)
         verify_module(module)
         outcomes[label] = _outcome(module, entry, args, privileged,
                                    engine, tier2)
-    assert outcomes["reference"] == outcomes["fast"]
-    assert outcomes["reference"] == outcomes["tier2"]
-    assert outcomes["reference"] == outcomes["superblock"]
-    assert outcomes["reference"] == outcomes["async"]
-    assert outcomes["reference"] == outcomes["tier3-x86"]
-    assert outcomes["reference"] == outcomes["tier3-sparc"]
+    assert_matches_reference(outcomes)
     return outcomes["reference"]
 
 
@@ -190,19 +215,18 @@ def _outcome_sanitized(module, engine, tier2=False):
 
 def run_both_sanitized(source):
     """Run under llva-san on both engines; reports must be identical.
-    The tier-2 configuration participates too, verifying the sanitizer
-    pins it back to tier 1 without changing observations."""
+    The tier-2 configurations participate too, verifying the sanitizer
+    pins them back to tier 1 without changing observations.  The
+    machine simulator has no sanitizer, so the native engines sit
+    these scenarios out."""
     outcomes = {}
     for label, engine, tier2 in CONFIGS:
+        if engine in NATIVE_ENGINES:
+            continue
         module = parse_module(source)
         verify_module(module)
         outcomes[label] = _outcome_sanitized(module, engine, tier2)
-    assert outcomes["reference"] == outcomes["fast"]
-    assert outcomes["reference"] == outcomes["tier2"]
-    assert outcomes["reference"] == outcomes["superblock"]
-    assert outcomes["reference"] == outcomes["async"]
-    assert outcomes["reference"] == outcomes["tier3-x86"]
-    assert outcomes["reference"] == outcomes["tier3-sparc"]
+    assert_matches_reference(outcomes)
     return outcomes["reference"]
 
 
@@ -258,60 +282,18 @@ class TestBenchsuiteDifferential:
         assert interpreter.tier2_steps == result.steps
         assert cache.stats.pins == 0
 
-    @pytest.mark.parametrize("target", ("x86", "sparc"))
     @pytest.mark.parametrize("name", SUITE_ORDER)
-    def test_workload_tier3_forced(self, name, target):
-        """All 17 programs with tier-3 promotion forced (threshold 0)
-        on each simulated back end: every supported function runs as
-        native code through the hosted executor, against the oracle.
-        Workloads whose functions all lower must execute every
-        architectural step in tier 3 with nothing pinned or deopted."""
+    @pytest.mark.parametrize("target", NATIVE_ENGINES)
+    def test_native(self, target, name):
+        """All 17 programs translated for each back end and run on the
+        machine simulator (the ``--target`` path), against the oracle:
+        identical observations, steps excepted."""
         workload = load_workload(name, SCALE)
         module = compile_source(workload.source, name,
                                 optimization_level=2)
         reference = _outcome(module, engine="reference")
-        cache = _tier3_cache(module, target)
-        interpreter = Interpreter(module, engine="fast", tier2=cache)
-        result = interpreter.run("main", [])
-        forced = ("ok", result.return_value, result.output,
-                  result.steps, result.exit_status)
-        assert reference == forced
-        assert cache.stats.tier3_compiled > 0
-        if cache.stats.tier3_pins == 0:
-            assert interpreter.tier3_steps == result.steps
-            assert cache.stats.tier3_deopts == 0
-
-    @pytest.mark.parametrize("target", ("x86", "sparc"))
-    @pytest.mark.parametrize("name", SUITE_ORDER)
-    def test_workload_tier3_backend_parity(self, name, target):
-        """All 17 programs on each back end under BOTH tier-3
-        execution backends: the block-compiled threaded units and the
-        one-instruction step oracle must produce identical
-        observations — and both must match the reference engine.  On
-        suite code nothing may degrade: every unit the threaded
-        configuration builds must actually run threaded."""
-        workload = load_workload(name, SCALE)
-        module = compile_source(workload.source, name,
-                                optimization_level=2)
-        reference = _outcome(module, engine="reference")
-        outcomes = {}
-        for backend in ("threaded", "step"):
-            cache = _tier3_cache(module, target, backend=backend)
-            interpreter = Interpreter(module, engine="fast",
-                                      tier2=cache)
-            result = interpreter.run("main", [])
-            outcomes[backend] = ("ok", result.return_value,
-                                 result.output, result.steps,
-                                 result.exit_status)
-            assert cache.stats.tier3_degraded == 0
-            if backend == "threaded":
-                assert cache.stats.tier3_step_units == 0
-                assert cache.stats.tier3_threaded_units \
-                    == cache.stats.tier3_compiled
-            else:
-                assert cache.stats.tier3_threaded_units == 0
-        assert outcomes["threaded"] == reference
-        assert outcomes["step"] == reference
+        assert reference[0] == "ok"
+        assert _native_outcome(module, target) == _observable(reference)
 
     @pytest.mark.parametrize("name", SUITE_ORDER)
     def test_workload_async_compile_forced(self, name):
@@ -401,7 +383,7 @@ class TestExceptionModelDifferential:
                 call void %llva.exceptions.set(bool true)
                 ret int %r
         }
-        """)[1] == 0
+        """, native=False)[1] == 0
 
     def test_trap_handler_runs_and_resumes(self):
         assert run_both("""
@@ -424,7 +406,7 @@ class TestExceptionModelDifferential:
                 %r = add int %v, %q
                 ret int %r
         }
-        """, privileged=True)[1] == 2
+        """, privileged=True, native=False)[1] == 2
 
     def test_trap_handler_register_snapshot(self):
         # The handler observes the faulting frame through the V-ABI
@@ -463,7 +445,7 @@ class TestExceptionModelDifferential:
                 %result = add int %combined, %t32
                 ret int %result
         }
-        """, privileged=True)[1] == 21 * 1000 + 42
+        """, privileged=True, native=False)[1] == 21 * 1000 + 42
 
     def test_software_trap_raise_payload(self):
         assert run_both("""
@@ -486,7 +468,7 @@ class TestExceptionModelDifferential:
                 %r = load int* %seen
                 ret int %r
         }
-        """, privileged=True)[1] == 777
+        """, privileged=True, native=False)[1] == 777
 
     def test_privilege_violation_parity(self):
         assert run_both("""
@@ -497,7 +479,7 @@ class TestExceptionModelDifferential:
                 call void %llva.trap.register(uint 2, sbyte* %z)
                 ret int 0
         }
-        """, privileged=False)[0] == "trap"
+        """, privileged=False, native=False)[0] == "trap"
 
 
 class TestSanitizerDifferential:

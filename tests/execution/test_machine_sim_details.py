@@ -117,7 +117,7 @@ class TestCycleModel:
 class TestTrapDetailParity:
     """Simulator faults carry the same kind + detail strings as the
     interpreter engines, so trap reports are byte-identical whether a
-    program faults in tier 1, tier 2, tier 3, or under --target."""
+    program faults in tier 1, tier 2, or under --target."""
 
     DIV = """
     int %main() {

@@ -2,25 +2,22 @@
 benchsuite workload (and hand-written vector kernels) must be
 observationally identical to the reference interpreter on every tier —
 fast engine, forced tier 2, superblock+OSR, async compilation, and
-tier-3 hosted native on both simulated targets and both hosted
-backends — and the vectorized module must agree with the scalar build
-on everything a program can observe (return value, output, exit
-status; step counts legitimately shrink)."""
+translated code on both simulated targets — and the vectorized module
+must agree with the scalar build on everything a program can observe
+(return value, output, exit status; step counts legitimately shrink)."""
 
 import pytest
 
 from test_fastpath_differential import (
     CONFIGS,
-    _close_tier2,
-    _make_interpreter,
+    _observable,
     _outcome,
-    _tier3_cache,
+    assert_matches_reference,
     run_both,
     run_both_sanitized,
 )
 
 from repro.benchsuite import SUITE_ORDER, load_workload
-from repro.execution import ExecutionTrap, Interpreter
 from repro.minic import compile_source
 
 SCALE = 0.05
@@ -37,9 +34,10 @@ def _vector_module(name, scale=SCALE):
                           optimization_level=2, vectorize=True)
 
 
-def _scalar_module(name, scale=SCALE):
+def _scalar_module(name, scale=SCALE, optimization_level=2):
     workload = load_workload(name, scale)
-    return compile_source(workload.source, name, optimization_level=2)
+    return compile_source(workload.source, name,
+                          optimization_level=optimization_level)
 
 
 class TestBenchsuiteVectorized:
@@ -77,27 +75,19 @@ class TestNumericRowsFullLadder:
             module = _vector_module(name)
             outcomes[label] = _outcome(module, engine=engine,
                                        tier2=tier2)
-        for label in outcomes:
-            assert outcomes[label] == outcomes["reference"], label
+        assert_matches_reference(outcomes)
         assert outcomes["reference"][0] == "ok"
 
     @pytest.mark.parametrize("target", ["x86", "sparc"])
-    def test_art_tier3_step_backend(self, target):
-        """art (the workload that actually vectorizes) under tier-3's
-        one-instruction step oracle on both targets: the scalarized
-        vector lowering must match the reference interpreter exactly,
-        same as the default threaded backend."""
-        module = _vector_module("art")
-        reference = _outcome(module, engine="reference")
-        cache = _tier3_cache(module, target, backend="step")
-        interpreter = Interpreter(module, engine="fast", tier2=cache)
-        try:
-            result = interpreter.run("main", [])
-            outcome = ("ok", result.return_value, result.output,
-                       result.steps, result.exit_status)
-        except ExecutionTrap as trap:
-            outcome = ("trap", trap.trap_number, interpreter.steps)
-        assert outcome == reference
+    def test_art_target_run(self, target):
+        """art (the workload that actually vectorizes) translated for
+        each target: the scalarized vector lowering must match the
+        unoptimized scalar build on the reference interpreter."""
+        oracle = _outcome(_scalar_module("art", 0.02, 0),
+                          engine="reference")
+        native = _outcome(_vector_module("art", 0.02), engine=target)
+        assert oracle[0] == "ok"
+        assert native == _observable(oracle)
 
 
 _VEC_HEADER = """

@@ -64,9 +64,10 @@ def test_native_matches_interpreter(compiled, name, target_name):
     module = compile_source(workload.source, name, optimization_level=2)
     native = translate_module(module, make_target(target_name))
     simulator = MachineSimulator(native, module)
-    value, _status = simulator.run("main")
+    value, status = simulator.run("main")
     assert value == reference.return_value, (name, target_name)
     assert simulator.output_text() == reference.output
+    assert status == reference.exit_status
 
 
 def test_all_seventeen_workloads_compile_and_verify():

@@ -187,6 +187,26 @@ class TestSanitizedInterpretedRuns:
         assert "heap-use-after-free" in info.value.detail
 
 
+class TestInterpreterCacheKey:
+    def test_tier2_threshold_keys_the_cached_tier2_cache(self,
+                                                         object_code):
+        """A cached entry carries the Tier2Cache its first run built, so
+        a run at another promotion threshold must not reuse it."""
+        llee = LLEE(make_target("x86"))
+        eager = llee.run_interpreted(object_code, tier2=True,
+                                     tier2_threshold=0)
+        lazy = llee.run_interpreted(object_code, tier2=True,
+                                    tier2_threshold=10 ** 9)
+        fresh = LLEE(make_target("x86")).run_interpreted(
+            object_code, tier2=True, tier2_threshold=10 ** 9)
+        assert eager.tier2_steps > 0
+        assert not lazy.cache_hit
+        assert lazy.tier2_steps == fresh.tier2_steps == 0
+        again = llee.run_interpreted(object_code, tier2=True,
+                                     tier2_threshold=10 ** 9)
+        assert again.cache_hit
+
+
 class TestSMCInvalidation:
     def test_jit_retranslates_after_smc(self):
         source = """

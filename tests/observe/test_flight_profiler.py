@@ -96,7 +96,7 @@ class TestFlightRecorder:
         recorder.write_jsonl(str(path))
         lines = [json.loads(line)
                  for line in path.read_text().splitlines()]
-        assert lines[0]["flight"] == 5
+        assert lines[0]["flight"] == 6
         assert lines[0]["recorded"] == 2
         assert [e["type"] for e in lines[1:]] == ["run.begin",
                                                   "run.end"]
