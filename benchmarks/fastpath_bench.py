@@ -17,11 +17,14 @@ written to ``BENCH_tierjit.json`` instead of ``BENCH_fastpath.json``.
 ``--repeat N`` re-runs each engine N times against the same decode and
 tier-2 caches and reports the min (steady state): the first iteration
 pays decode+compile, later ones measure the running tier.
-``--superblocks`` (implying ``--tier2 --osr``) adds the trace-guided
-superblock tier: iteration 1 profiles and upgrades mid-run through
-OSR, later iterations compile hot traces straight-line up front; the
-report lands in ``BENCH_superblock.json``.
-``--async-compile`` (implying ``--tier2``) moves tier-2 compilation
+``--superblocks --osr`` adds the trace-guided superblock tier:
+iteration 1 profiles and upgrades mid-run through OSR, later
+iterations compile hot traces straight-line up front; the report lands
+in ``BENCH_superblock.json``.  The tier flags follow the one rule of
+``EngineConfig.resolve()`` (see ``docs/PERFORMANCE.md``): each tier-2
+option implies ``--tier2`` and nothing else, so ``--superblocks``
+alone runs without OSR.
+``--async-compile`` moves tier-2 compilation
 onto the background compile service: the timed run keeps executing
 tier 1 while workers build units, which are swapped in at safe yield
 points.  Each program is additionally run once with *synchronous*
@@ -41,31 +44,38 @@ Usage:
         --programs ft ks --scale 0.1 --out BENCH_fastpath.json
     PYTHONPATH=src python benchmarks/fastpath_bench.py \\
         --tier2 --repeat 3                         # tiered, steady state
+    PYTHONPATH=src python benchmarks/fastpath_bench.py \\
+        --superblocks --osr --repeat 3             # BENCH_superblock.json
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
 import time
 
 from repro.benchsuite import SUITE_ORDER, load_workload
-from repro.execution import DecodeCache, ExecutionTrap, Interpreter
+from repro.execution import (
+    ConfigError, EngineConfig, ExecutionTrap, Interpreter)
 from repro.minic import compile_source
 
 #: Small, fast-terminating programs for the CI smoke run.
 QUICK_PROGRAMS = ["ft", "ks", "anagram"]
 QUICK_SCALE = 0.05
 
+#: The fixed configurations the warm-up and ``--vectorize`` runs use.
+REFERENCE = EngineConfig(engine="reference")
+FAST = EngineConfig()
+TIER2_FORCED = EngineConfig(tier2=True, tier2_threshold=0)
 
-def run_engine(module, engine, sanitize=False, repeat=1,
-               tier2=False, tier2_threshold=0, superblocks=False,
-               osr=False, async_compile=False, compile_workers=None,
-               storage=None, storage_key=None):
-    """Run *module* ``repeat`` times on one engine against shared
-    decode/tier-2 caches; returns a measurement dict (seconds = min).
+
+def run_engine(module, config, repeat=1, storage=None, storage_key=None):
+    """Run *module* ``repeat`` times under one :class:`EngineConfig`
+    against shared decode/tier-2 caches; returns a measurement dict
+    (seconds = min).
 
     With ``async_compile`` the timed window covers only the run
     itself; the cache is drained *between* repeats (untimed) so later
@@ -75,24 +85,9 @@ def run_engine(module, engine, sanitize=False, repeat=1,
     API under ``storage_key`` and flushes translations back at the
     end (the warm-sharing measurement reuses one storage across two
     fresh caches)."""
-    decode_cache = None
-    tier2_cache = None
-    use_osr = bool(tier2 and not sanitize and osr)
-    if engine == "fast":
-        decode_cache = DecodeCache(module.target_data, sanitize=sanitize,
-                                   osr=use_osr)
-        if tier2 and not sanitize:
-            from repro.execution.tier2 import Tier2Cache
-
-            tier2_cache = Tier2Cache(module, module.target_data,
-                                     threshold=tier2_threshold,
-                                     superblocks=superblocks,
-                                     osr=use_osr,
-                                     async_compile=async_compile,
-                                     compile_workers=compile_workers)
-            if storage is not None:
-                tier2_cache.attach_storage(storage, storage_key
-                                           or module.name)
+    config = config.resolve()
+    decode_cache, tier2_cache = config.build(
+        module, storage=storage, storage_key=storage_key or module.name)
     seconds = []
     observations = []
     faults = 0
@@ -100,9 +95,8 @@ def run_engine(module, engine, sanitize=False, repeat=1,
     pending_at_exit = 0
     for iteration in range(repeat):
         interpreter = Interpreter(
-            module, engine=engine,
-            decode_cache=decode_cache, sanitize=sanitize,
-            tier2=tier2_cache if tier2_cache is not None else False)
+            module, engine=config.engine, decode_cache=decode_cache,
+            sanitize=config.sanitize, tier2=tier2_cache)
         started = time.perf_counter()
         try:
             result = interpreter.run("main")
@@ -150,8 +144,7 @@ def run_engine(module, engine, sanitize=False, repeat=1,
         "stable": all(obs == observations[0] for obs in observations),
         "seconds": min(seconds),
         "first_seconds": seconds[0],
-        "decode_seconds": (decode_cache.stats.decode_seconds
-                           if decode_cache is not None else 0.0),
+        "decode_seconds": decode_cache.stats.decode_seconds,
         "compile_seconds": (tier2_cache.stats.compile_seconds
                             if tier2_cache is not None else 0.0),
         "functions_compiled": (tier2_cache.stats.functions_compiled
@@ -171,20 +164,18 @@ def run_engine(module, engine, sanitize=False, repeat=1,
     }
 
 
-def bench_program(name, scale, sanitize=False, repeat=1, tier2=False,
-                  tier2_threshold=0, superblocks=False, osr=False,
-                  async_compile=False, compile_workers=None):
+def bench_program(name, scale, config, repeat=1):
+    """Run one workload on the reference engine and under *config*
+    (a resolved :class:`EngineConfig`)."""
     workload = load_workload(name, scale)
     module = compile_source(workload.source, name, optimization_level=2)
-    ref = run_engine(module, "reference", sanitize, repeat=repeat)
-    fast = run_engine(module, "fast", sanitize, repeat=repeat,
-                      tier2=tier2, tier2_threshold=tier2_threshold,
-                      superblocks=superblocks, osr=osr,
-                      async_compile=async_compile,
-                      compile_workers=compile_workers)
+    ref = run_engine(module, EngineConfig(engine="reference",
+                                          sanitize=config.sanitize),
+                     repeat=repeat)
+    fast = run_engine(module, config, repeat=repeat)
     sync = warm = None
     async_first = sync_first = None
-    if async_compile and not sanitize:
+    if config.async_compile:
         # First-run latency: `repeat` *independent* cold starts per
         # configuration (fresh caches each time), interleaved so
         # machine drift hits both sides alike; min-of-N on each side.
@@ -192,20 +183,13 @@ def bench_program(name, scale, sanitize=False, repeat=1, tier2=False,
         # a measurement.
         async_samples, sync_samples = [], []
         for _ in range(repeat):
-            cold = run_engine(module, "fast", sanitize, repeat=1,
-                              tier2=tier2,
-                              tier2_threshold=tier2_threshold,
-                              superblocks=superblocks, osr=osr,
-                              async_compile=True,
-                              compile_workers=compile_workers)
+            cold = run_engine(module, config)
             async_samples.append(cold["first_seconds"])
             # Same configuration, compilation forced back inline: the
             # first-run delta is the compile latency the service
             # moved off the critical path.
-            sync = run_engine(module, "fast", sanitize, repeat=1,
-                              tier2=tier2,
-                              tier2_threshold=tier2_threshold,
-                              superblocks=superblocks, osr=osr)
+            sync = run_engine(module, dataclasses.replace(
+                config, async_compile=False))
             sync_samples.append(sync["first_seconds"])
         async_first = min(async_samples)
         sync_first = min(sync_samples)
@@ -215,18 +199,9 @@ def bench_program(name, scale, sanitize=False, repeat=1, tier2=False,
         from repro.llee.storage import InMemoryStorage
 
         shared = InMemoryStorage()
-        run_engine(module, "fast", sanitize, repeat=1,
-                   tier2=tier2, tier2_threshold=tier2_threshold,
-                   superblocks=superblocks, osr=osr,
-                   async_compile=True, compile_workers=compile_workers,
-                   storage=shared, storage_key=name)
-        warm = run_engine(module, "fast", sanitize, repeat=1,
-                          tier2=tier2,
-                          tier2_threshold=tier2_threshold,
-                          superblocks=superblocks, osr=osr,
-                          async_compile=True,
-                          compile_workers=compile_workers,
-                          storage=shared, storage_key=name)
+        run_engine(module, config, storage=shared, storage_key=name)
+        warm = run_engine(module, config, storage=shared,
+                          storage_key=name)
     ref_obs, fast_obs = ref["observation"], fast["observation"]
     steps = ref_obs[2] if ref_obs[0] != "trap" else ref_obs[3]
     ref_seconds, fast_seconds = ref["seconds"], fast["seconds"]
@@ -247,7 +222,7 @@ def bench_program(name, scale, sanitize=False, repeat=1, tier2=False,
         "diverged": (ref_obs != fast_obs or not ref["stable"]
                      or not fast["stable"]),
     }
-    if tier2:
+    if config.tier2:
         # Per-tier breakdown: where the steps ran and where the
         # translation time went (decode = tier 1, compile = tier 2).
         row["tier2_steps"] = fast["tier2_steps"]
@@ -257,12 +232,12 @@ def bench_program(name, scale, sanitize=False, repeat=1, tier2=False,
         row["tier2_pins"] = fast["tier2_pins"]
         row["fast_compile_seconds"] = round(fast["compile_seconds"], 6)
         row["fast_first_run_seconds"] = round(fast["first_seconds"], 6)
-    if superblocks or osr:
+    if config.superblocks or config.osr:
         row["tier2_superblocks"] = fast["superblocks_compiled"]
         row["tier2_osr_entries"] = fast["osr_entries"]
         row["tier2_osr_upgrades"] = fast["osr_upgrades"]
         row["tier2_side_exits"] = fast["side_exits"]
-    if async_compile and not sanitize:
+    if config.async_compile:
         # The async engine must agree with the sync one (and the warm
         # second tenant with both) — swap-in timing is not allowed to
         # change architectural results.
@@ -316,14 +291,13 @@ def bench_vector_program(name, scale, repeat=1):
                                 optimization_level=2)
     vector_mod = compile_source(workload.source, name,
                                 optimization_level=2, vectorize=True)
-    reference = run_engine(vector_mod, "reference", repeat=1)
+    reference = run_engine(vector_mod, REFERENCE)
     runs = {}
     for label, module in (("scalar", scalar_mod),
                           ("vector", vector_mod)):
         runs[label] = {
-            "fast": run_engine(module, "fast", repeat=repeat),
-            "tier2": run_engine(module, "fast", repeat=repeat,
-                                tier2=True, tier2_threshold=0),
+            "fast": run_engine(module, FAST, repeat=repeat),
+            "tier2": run_engine(module, TIER2_FORCED, repeat=repeat),
         }
     ref_obs = reference["observation"]
     vec_fast = runs["vector"]["fast"]
@@ -377,13 +351,13 @@ int main() { return work(64); }
 """
 
 
-def warm_translator(async_compile=False):
+def warm_translator(config=FAST):
     module = compile_source(_WARMUP_SOURCE, "benchwarm",
                             optimization_level=2)
-    run_engine(module, "fast", repeat=1, tier2=True, tier2_threshold=0)
-    if async_compile:
-        run_engine(module, "fast", repeat=1, tier2=True,
-                   tier2_threshold=0, async_compile=True)
+    run_engine(module, TIER2_FORCED)
+    if config.async_compile:
+        run_engine(module, dataclasses.replace(TIER2_FORCED,
+                                               async_compile=True))
 
 
 def geomean(values):
@@ -445,7 +419,7 @@ def _vectorize_main(parser, args, programs, scale, out_path):
     return 0
 
 
-def main(argv=None):
+def build_parser():
     parser = argparse.ArgumentParser(
         description="fast-engine differential benchmark")
     parser.add_argument("--quick", action="store_true",
@@ -455,33 +429,7 @@ def main(argv=None):
                         help="workload scale factor (default 0.2)")
     parser.add_argument("--programs", nargs="+", metavar="NAME",
                         help="workloads to run (default: whole suite)")
-    parser.add_argument("--sanitize", action="store_true",
-                        help="run both engines under llva-san; any "
-                             "reported fault fails the run (the suite "
-                             "must be sanitizer-clean)")
-    parser.add_argument("--tier2", action="store_true",
-                        help="enable the tier-2 translator on the fast "
-                             "engine and report the per-tier breakdown")
-    parser.add_argument("--tier2-threshold", type=int, default=0,
-                        metavar="N",
-                        help="tier-2 promotion threshold (default 0: "
-                             "compile every function on first call)")
-    parser.add_argument("--superblocks", action="store_true",
-                        help="trace-guided superblock tier-2 codegen; "
-                             "implies --tier2 and --osr (the profiling "
-                             "stage upgrades mid-run via OSR)")
-    parser.add_argument("--osr", action="store_true",
-                        help="on-stack replacement at hot tier-1 loop "
-                             "headers (implies --tier2)")
-    parser.add_argument("--async-compile", action="store_true",
-                        help="compile tier-2 units on the background "
-                             "service (implies --tier2); adds the "
-                             "sync-vs-async first-run-latency and "
-                             "warm-sharing columns")
-    parser.add_argument("--compile-workers", type=int, default=None,
-                        metavar="N",
-                        help="background compile worker threads "
-                             "(default: service default)")
+    EngineConfig.add_arguments(parser, "bench")
     parser.add_argument("--vectorize", action="store_true",
                         help="A/B the loop autovectorizer: each "
                              "program compiled -O2 with and without "
@@ -500,18 +448,23 @@ def main(argv=None):
                              "with --superblocks, or "
                              "BENCH_asyncjit.json with "
                              "--async-compile)")
+    return parser
+
+
+def main(argv=None):
+    parser = build_parser()
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be >= 1")
-    if args.superblocks:
-        args.osr = True
-    if args.osr or args.async_compile:
-        args.tier2 = True
+    try:
+        config = EngineConfig.from_args(args, "bench")
+    except ConfigError as error:
+        parser.error(str(error))
     out_path = args.out or (
         "BENCH_vector.json" if args.vectorize
-        else "BENCH_asyncjit.json" if args.async_compile
-        else "BENCH_superblock.json" if args.superblocks
-        else "BENCH_tierjit.json" if args.tier2
+        else "BENCH_asyncjit.json" if config.async_compile
+        else "BENCH_superblock.json" if config.superblocks
+        else "BENCH_tierjit.json" if config.tier2
         else "BENCH_fastpath.json")
 
     programs = args.programs or (
@@ -525,8 +478,8 @@ def main(argv=None):
     if args.vectorize:
         return _vectorize_main(parser, args, programs, scale, out_path)
 
-    if args.tier2 and not args.sanitize:
-        warm_translator(async_compile=args.async_compile)
+    if config.tier2:
+        warm_translator(config)
 
     rows = []
     diverged = False
@@ -535,12 +488,7 @@ def main(argv=None):
         if name not in SUITE_ORDER:
             parser.error("unknown workload {0!r} (choose from {1})"
                          .format(name, ", ".join(SUITE_ORDER)))
-        row = bench_program(name, scale, sanitize=args.sanitize,
-                            repeat=args.repeat, tier2=args.tier2,
-                            tier2_threshold=args.tier2_threshold,
-                            superblocks=args.superblocks, osr=args.osr,
-                            async_compile=args.async_compile,
-                            compile_workers=args.compile_workers)
+        row = bench_program(name, scale, config, repeat=args.repeat)
         rows.append(row)
         if row["diverged"]:
             status = "DIVERGED"
@@ -548,11 +496,10 @@ def main(argv=None):
             status = "{0} SAN FAULTS".format(row["sanitizer_faults"])
         else:
             status = "{0:.2f}x".format(row["speedup"] or 0.0)
-        if args.tier2 and not row["diverged"]:
+        if config.tier2 and not row["diverged"]:
             status += "  [t2 {0:.0f}%]".format(
                 100.0 * row["tier2_steps"] / max(row["steps"], 1))
-        if args.async_compile and not row["diverged"] \
-                and not args.sanitize:
+        if config.async_compile and not row["diverged"]:
             status += "  [first {0:.2f}x, warm {1} cmp]".format(
                 row["first_run_speedup"] or 0.0,
                 row["tier2_warm_compiles"])
@@ -565,18 +512,18 @@ def main(argv=None):
 
     report = {
         "scale": scale,
-        "sanitize": args.sanitize,
-        "tier2": args.tier2,
-        "tier2_threshold": args.tier2_threshold,
-        "superblocks": args.superblocks,
-        "osr": args.osr,
+        "sanitize": config.sanitize,
+        "tier2": config.tier2,
+        "tier2_threshold": config.tier2_threshold,
+        "superblocks": config.superblocks,
+        "osr": config.osr,
         "repeat": args.repeat,
         "programs": rows,
         "geomean_speedup": geomean([r["speedup"] for r in rows]),
         "diverged": diverged,
         "sanitizer_faults": total_faults,
     }
-    if args.tier2:
+    if config.tier2:
         total_steps = sum(r["steps"] for r in rows)
         t2_steps = sum(r["tier2_steps"] for r in rows)
         report["tier2_steps"] = t2_steps
@@ -588,7 +535,7 @@ def main(argv=None):
         report["tier2_pins"] = sum(r["tier2_pins"] for r in rows)
         report["compile_seconds"] = round(
             sum(r["fast_compile_seconds"] for r in rows), 6)
-    if args.superblocks or args.osr:
+    if config.superblocks or config.osr:
         report["tier2_superblocks"] = sum(
             r["tier2_superblocks"] for r in rows)
         report["tier2_osr_entries"] = sum(
@@ -597,9 +544,9 @@ def main(argv=None):
             r["tier2_osr_upgrades"] for r in rows)
         report["tier2_side_exits"] = sum(
             r["tier2_side_exits"] for r in rows)
-    if args.async_compile and not args.sanitize:
+    if config.async_compile:
         report["async_compile"] = True
-        report["compile_workers"] = args.compile_workers
+        report["compile_workers"] = config.compile_workers
         report["tier2_async_enqueued"] = sum(
             r["tier2_async_enqueued"] for r in rows)
         report["tier2_swap_ins"] = sum(
@@ -615,14 +562,14 @@ def main(argv=None):
         handle.write("\n")
     print("geomean speedup: {0}x -> {1}".format(
         report["geomean_speedup"], out_path))
-    if args.async_compile and not args.sanitize:
+    if config.async_compile:
         print("geomean first-run speedup (async vs sync compile): "
               "{0}x".format(report["geomean_first_run_speedup"]))
     if diverged:
         print("ERROR: engines diverged; see {0}".format(out_path),
               file=sys.stderr)
         return 1
-    if args.sanitize and total_faults:
+    if config.sanitize and total_faults:
         print("ERROR: {0} sanitizer fault(s) in the suite; see {1}"
               .format(total_faults, out_path), file=sys.stderr)
         return 1

@@ -1,6 +1,7 @@
 """Execution engines: the LLVA interpreter and the native machine
 simulator, sharing one memory model and the Section 3.3 exception model."""
 
+from repro.execution.config import ConfigError, EngineConfig
 from repro.execution.events import (
     ExecutionTrap,
     ExitRequest,
@@ -23,6 +24,8 @@ from repro.execution.sanitizer import (
 from repro.execution.tier2 import CompiledUnit, Tier2Cache, Tier2Stats
 
 __all__ = [
+    "ConfigError",
+    "EngineConfig",
     "ExecutionTrap",
     "ExitRequest",
     "TrapKind",

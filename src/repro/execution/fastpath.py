@@ -49,6 +49,7 @@ import time
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import observe
+from repro.execution.config import EngineConfig
 from repro.execution.events import ExecutionTrap, ExitRequest, TrapKind
 from repro.execution.interpreter import (
     ExecutionResult,
@@ -1950,18 +1951,15 @@ class FastInterpreter(Interpreter):
         # carry the on-stack-replacement check.
         if tier2 and not sanitize:
             from repro.execution.tier2 import Tier2Cache
-            if isinstance(tier2, Tier2Cache):
-                if (tier2.target.pointer_size != self.target.pointer_size
-                        or tier2.target.endianness
-                        != self.target.endianness):
-                    raise ValueError("tier-2 cache was built for a "
-                                     "different target layout")
-                self.tier2 = tier2
-            else:
-                kwargs = {}
-                if tier2_threshold is not None:
-                    kwargs["threshold"] = tier2_threshold
-                self.tier2 = Tier2Cache(module, self.target, **kwargs)
+            if not isinstance(tier2, Tier2Cache):
+                _, tier2 = EngineConfig(
+                    tier2=True, tier2_threshold=tier2_threshold).build(
+                        module, self.target)
+            elif (tier2.target.pointer_size != self.target.pointer_size
+                    or tier2.target.endianness != self.target.endianness):
+                raise ValueError("tier-2 cache was built for a "
+                                 "different target layout")
+            self.tier2 = tier2
             self.smc_listeners.append(self.tier2.listener())
         else:
             self.tier2 = None

@@ -134,6 +134,10 @@ DEFAULT_SUPERBLOCK_THRESHOLD = 512
 #: taken back edge triggers on-stack replacement into tier 2.
 DEFAULT_OSR_STEP_THRESHOLD = 25_000
 
+#: Trace formation extends a trace to its hottest successor only when
+#: that successor carries at least this share of the block's count.
+TRACE_SUCCESSOR_BIAS = 0.4
+
 #: Asynchronous mode: tier-1 steps a function may burn *after* its
 #: compile job was enqueued before the engine stops waiting and
 #: escalates to an inline (synchronous) compile.  Past that point the
@@ -1389,8 +1393,6 @@ class Tier2Cache:
                  superblocks: bool = False, osr: bool = False,
                  superblock_threshold: int = DEFAULT_SUPERBLOCK_THRESHOLD,
                  osr_step_threshold: int = DEFAULT_OSR_STEP_THRESHOLD,
-                 trace_hot_threshold: Optional[int] = None,
-                 trace_successor_bias: float = 0.4,
                  async_compile: bool = False,
                  compile_workers: Optional[int] = None,
                  compile_service=None,
@@ -1406,13 +1408,10 @@ class Tier2Cache:
         self.osr = bool(osr)
         self.superblock_threshold = max(int(superblock_threshold), 1)
         self.osr_step_threshold = max(int(osr_step_threshold), 1)
-        if trace_hot_threshold is None:
-            # Scale trace formation to the profiling-stage horizon: by
-            # the time a block hits superblock_threshold, anything a
-            # trace should cover has seen a proportional share.
-            trace_hot_threshold = max(self.superblock_threshold // 32, 1)
-        self.trace_hot_threshold = int(trace_hot_threshold)
-        self.trace_successor_bias = float(trace_successor_bias)
+        # Scale trace formation to the profiling-stage horizon: by the
+        # time a block hits superblock_threshold, anything a trace
+        # should cover has seen a proportional share.
+        self.trace_hot_threshold = max(self.superblock_threshold // 32, 1)
         self.stats = Tier2Stats()
         #: Block-level profile guiding trace formation — absorbed from
         #: ``prime_from_profile``, the persisted snapshot, and live
@@ -1726,7 +1725,7 @@ class Tier2Cache:
         traces = form_function_traces(
             function, self._profile,
             hot_threshold=self.trace_hot_threshold,
-            successor_bias=self.trace_successor_bias)
+            successor_bias=TRACE_SUCCESSOR_BIAS)
         return traces or None
 
     def credit_steps(self, function: Function, steps: int) -> None:

@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 from repro import observe
 from repro.bitcode.reader import read_module
-from repro.execution.fastpath import DecodeCache
+from repro.execution.config import EngineConfig
 from repro.execution.interpreter import Interpreter
 from repro.execution.machine_sim import MachineSimulator
 from repro.llee.jit import FunctionJIT, JITStats
@@ -115,6 +115,8 @@ class InterpretedRunReport:
     tier2_pending_at_exit: int = 0
     #: High-water mark of the compile service queue.
     tier2_queue_peak: int = 0
+    #: The resolved execution options this run used.
+    config: Optional[EngineConfig] = None
 
 
 class LLEE:
@@ -131,8 +133,8 @@ class LLEE:
         #: :func:`repro.llee.profile.read_profile`) can inspect the
         #: finished run's memory image.
         self.last_simulator: Optional[MachineSimulator] = None
-        #: Decoded-module reuse for :meth:`run_interpreted`: object-code
-        #: key -> (module, DecodeCache).  The interpreter analogue of
+        #: Decoded-module reuse for :meth:`run_interpreted`: config and
+        #: object-code key -> (module, DecodeCache, Tier2Cache or None).  The interpreter analogue of
         #: the native translation cache — decode once, run many times.
         self._interp_cache: dict = {}
         #: One background CompileService shared by every async tier-2
@@ -213,116 +215,70 @@ class LLEE:
 
     def run_interpreted(self, object_code: bytes, entry: str = "main",
                         args: Sequence[object] = (),
-                        engine: str = "fast",
                         privileged: bool = False,
-                        sanitize: bool = False,
-                        tier2: bool = False,
-                        tier2_threshold: Optional[int] = None,
-                        superblocks: bool = False,
-                        osr: bool = False,
-                        async_compile: bool = False,
-                        compile_workers: Optional[int] = None,
-                        executable_timestamp: Optional[float] = None
-                        ) -> InterpretedRunReport:
+                        executable_timestamp: Optional[float] = None,
+                        **options) -> InterpretedRunReport:
         """Run a virtual executable on an interpreter engine.
 
-        With ``engine="fast"``, the decoded module is cached across
-        invocations keyed on the object code — the pre-decode cost is
-        paid once.  A run that triggers ``llva.smc.replace`` drops the
-        cached module (its in-memory body has been mutated), so the
-        next invocation re-reads the pristine object code, matching the
-        fresh-module semantics of :meth:`run_executable`.
+        *options* are the :class:`~repro.execution.config.EngineConfig`
+        fields (``engine="fast"`` by default, ``sanitize``, ``tier2``,
+        ``tier2_threshold``, ``superblocks``, ``osr``,
+        ``async_compile``, ``compile_workers``), resolved once: any
+        tier-2 option implies ``tier2=True`` and the fast engine, and
+        ``sanitize=True`` pins execution to tier 1.  The report's
+        ``config`` is the resolved config.
 
-        ``tier2=True`` enables the tiered translator: the Tier2Cache is
-        kept alongside the decode cache (hot functions stay compiled
-        across invocations), and — when this LLEE was constructed with
-        a storage API — tier-2 source is persisted through it under the
-        ``llee-tier2`` cache, so a fresh process warm-starts from the
-        offline translation exactly like the native path does.  A
-        stale, corrupt, or mismatched blob logs ``llee.cache.invalid``
-        and degrades to online translation.
+        On the fast engine the decoded module is cached across
+        invocations, keyed on the object code and the resolved config
+        — the pre-decode cost is paid once.  A run that triggers
+        ``llva.smc.replace`` drops the cached module (its in-memory
+        body has been mutated), so the next invocation re-reads the
+        pristine object code, matching the fresh-module semantics of
+        :meth:`run_executable`.
 
-        ``superblocks=True`` (tier 2 only) turns on trace-guided
-        superblock emission — hot multi-block paths compile to
-        straight-line code, with the block profile persisted next to
-        the translation blob so layouts form on warm starts without
-        re-profiling.  ``osr=True`` additionally lets a tier-1
-        activation stuck in a hot loop enter tier 2 mid-function
-        (on-stack replacement); OSR changes the decoded tier-1
-        closures, so its decoded modules are keyed separately.
+        Tier 2 keeps its Tier2Cache alongside the decode cache (hot
+        functions stay compiled across invocations), and — when this
+        LLEE was constructed with a storage API — persists tier-2
+        source through it under the ``llee-tier2`` cache, so a fresh
+        process warm-starts from the offline translation exactly like
+        the native path does.  A stale, corrupt, or mismatched blob
+        logs ``llee.cache.invalid`` and degrades to online translation.
+        Superblock block profiles persist next to the translation blob,
+        so layouts form on warm starts without re-profiling.
 
-        ``sanitize=True`` runs under llva-san (shadow-memory checking);
-        sanitized decode caches are keyed separately because their
-        closures carry site instrumentation.  The sanitizer pins
-        execution to tier 1 (see ``docs/PERFORMANCE.md``).
-
-        ``async_compile=True`` (tier 2 only) routes promotions through
-        this LLEE's shared background :class:`CompileService` — the
-        paper's idle-time translation: the promoting call keeps
-        running tier 1 and the finished unit is swapped in at the next
-        safe point.  In-flight jobs are drained before the report is
-        built, so persistence and the compile statistics are complete
-        either way.
+        ``async_compile=True`` routes promotions through this LLEE's
+        shared background :class:`CompileService` — the paper's
+        idle-time translation: the promoting call keeps running tier 1
+        and the finished unit is swapped in at the next safe point.
+        In-flight jobs are drained before the report is built, so
+        persistence and the compile statistics are complete either way.
         """
-        tier2_live = bool(tier2) and engine == "fast" and not sanitize
-        use_superblocks = tier2_live and bool(superblocks)
-        use_osr = tier2_live and bool(osr)
-        use_async = tier2_live and bool(async_compile)
-        parts = ["interp"]
-        if sanitize:
-            parts.append("san")
-        if tier2_live:
-            # A cached entry carries its Tier2Cache, so every option
-            # that cache was built with belongs in the key.
-            parts.append("t2={0}".format(tier2_threshold))
-        if use_superblocks:
-            parts.append("sb")
-        if use_osr:
-            parts.append("osr")
-        if use_async:
-            parts.append("async")
-        key = "-".join(parts) + "-" + self._cache_key(object_code)
+        config = EngineConfig(**options).resolve()
+        code_key = self._cache_key(object_code)
+        key = config.cache_key() + "-" + code_key
         with observe.span("llee.run_interpreted", entry=entry,
-                          engine=engine, tier2=bool(tier2)):
-            cached = self._interp_cache.get(key) if engine == "fast" \
-                else None
+                          engine=config.engine, tier2=config.tier2):
+            cached = self._interp_cache.get(key)
             cache_hit = cached is not None
-            tier2_cache = None
             if cached is None:
                 module = read_module(object_code)
-                decode_cache = DecodeCache(module.target_data,
-                                           sanitize=sanitize,
-                                           osr=use_osr)
+                decode_cache, tier2_cache = config.build(
+                    module, storage=self.storage, storage_key=code_key,
+                    executable_timestamp=executable_timestamp,
+                    compile_service=self.compile_service(
+                        config.compile_workers)
+                    if config.async_compile else None)
             else:
                 module, decode_cache, tier2_cache = cached
-            if tier2_live and tier2_cache is None:
-                from repro.execution.tier2 import Tier2Cache
-
-                kwargs = {}
-                if tier2_threshold is not None:
-                    kwargs["threshold"] = tier2_threshold
-                if use_async:
-                    kwargs["compile_service"] = \
-                        self.compile_service(compile_workers)
-                tier2_cache = Tier2Cache(module, module.target_data,
-                                         superblocks=use_superblocks,
-                                         osr=use_osr,
-                                         **kwargs)
-                if self.storage is not None:
-                    tier2_cache.attach_storage(
-                        self.storage, self._cache_key(object_code),
-                        executable_timestamp=executable_timestamp)
             observe.counter(
                 "llee.cache.hit" if cache_hit else "llee.cache.miss",
                 1, target="interp")
             _flight_cache("hit" if cache_hit else "miss",
                           "llee-interp", key=key)
             interpreter = Interpreter(
-                module, privileged=privileged, engine=engine,
-                decode_cache=decode_cache if engine == "fast" else None,
-                sanitize=sanitize,
-                tier2=tier2_cache if tier2_cache is not None else False,
-                tier2_threshold=tier2_threshold)
+                module, privileged=privileged, engine=config.engine,
+                decode_cache=decode_cache, sanitize=config.sanitize,
+                tier2=tier2_cache)
             smc_fired = []
             interpreter.smc_listeners.append(smc_fired.append)
             decode_before = decode_cache.stats.decode_seconds
@@ -333,7 +289,7 @@ class LLEE:
             run_seconds = time.perf_counter() - started
             pending_at_exit = tier2_cache.pending_compiles \
                 if tier2_cache is not None else 0
-            if engine == "fast":
+            if config.engine == "fast":
                 if smc_fired:
                     self._interp_cache.pop(key, None)
                 else:
@@ -348,11 +304,12 @@ class LLEE:
             output=result.output,
             exit_status=result.exit_status,
             steps=result.steps,
-            engine=engine,
+            engine=config.engine,
             cache_hit=cache_hit,
             decode_seconds=decode_seconds,
             run_seconds=max(run_seconds - decode_seconds, 0.0),
-            sanitized=sanitize,
+            sanitized=config.sanitize,
+            config=config,
         )
         if tier2_cache is not None:
             report.tier2_steps = getattr(interpreter, "tier2_steps", 0)

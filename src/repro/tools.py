@@ -41,7 +41,8 @@ from typing import List, Optional
 from repro import observe
 from repro.asm import parse_module
 from repro.bitcode import read_module, write_module
-from repro.execution import ExecutionTrap, Interpreter
+from repro.execution import (
+    ConfigError, EngineConfig, ExecutionTrap, Interpreter)
 from repro.execution.machine_sim import MachineSimulator
 from repro.ir import print_module, verify_module
 from repro.ir.module import Module
@@ -184,50 +185,41 @@ def _format_stats_line(label: str, result: object) -> str:
     return "[{0}] {1}\n".format(label, " ".join(parts))
 
 
-def _normalize_tier_flags(args) -> None:
-    """Resolve flag implications before any mutual-exclusion check
-    runs: the tier-2 variants (``--superblocks``/``--osr``/
-    ``--async-compile``) imply ``--tier2``, and ``--tier2``
-    implies ``--engine fast``.  Validation must see the normalized
-    values — checking first would let an implied combination (say
-    ``--superblocks --target x86``) slip past the ``--tier2``
-    rejections."""
-    if (getattr(args, "superblocks", False)
-            or getattr(args, "osr", False)
-            or getattr(args, "async_compile", False)):
-        args.tier2 = True
-    if getattr(args, "tier2", False):
-        args.engine = "fast"
-
-
-def _make_tier2_cache(module, args):
-    """Build the CLI's Tier2Cache, optionally wired to a
-    ``--translation-cache`` directory for cross-process warm starts."""
-    from repro.execution.tier2 import Tier2Cache
-    from repro.llee.storage import DiskStorage
-
-    kwargs = {}
-    if args.tier2_threshold is not None:
-        kwargs["threshold"] = args.tier2_threshold
-    if getattr(args, "superblocks", False):
-        kwargs["superblocks"] = True
-    if getattr(args, "osr", False):
-        kwargs["osr"] = True
-    if getattr(args, "async_compile", False):
-        kwargs["async_compile"] = True
-        if getattr(args, "compile_workers", None) is not None:
-            kwargs["compile_workers"] = args.compile_workers
-    cache = Tier2Cache(module, module.target_data, **kwargs)
-    if args.translation_cache:
+def _interpret(module, config, args, program_args, profiler=None):
+    """Run *module* on the configured interpreter; returns
+    ``(interpreter, result)``.  ``--translation-cache`` persists tier-2
+    translations for cross-process warm starts."""
+    storage = key = None
+    if config.tier2 and args.translation_cache:
         import hashlib
 
-        key = "{0}".format(
-            hashlib.sha256(write_module(module)).hexdigest()[:24])
-        storage = DiskStorage(
-            args.translation_cache,
-            max_bytes=getattr(args, "cache_max_bytes", None))
-        cache.attach_storage(storage, key)
-    return cache
+        from repro.llee.storage import DiskStorage
+
+        storage = DiskStorage(args.translation_cache,
+                              max_bytes=args.cache_max_bytes)
+        key = hashlib.sha256(write_module(module)).hexdigest()[:24]
+    decode_cache, tier2_cache = config.build(module, storage=storage,
+                                             storage_key=key)
+    interpreter = Interpreter(module, privileged=args.privileged,
+                              engine=config.engine,
+                              decode_cache=decode_cache,
+                              sanitize=config.sanitize, tier2=tier2_cache,
+                              profiler=profiler)
+    try:
+        return interpreter, interpreter.run(args.entry, program_args)
+    finally:
+        if tier2_cache is not None:
+            # flush_storage drains in-flight background compiles
+            # first, so async stats and persistence are complete.
+            tier2_cache.flush_storage()
+            stats = tier2_cache.stats
+            if profiler is not None and stats.swap_ins:
+                # Background compile work never shows up in frame-
+                # boundary accounting; report it alongside.
+                profiler.note_background_compiles(
+                    stats.swap_ins, stats.compile_seconds,
+                    stats.swap_wait_seconds)
+            tier2_cache.close()
 
 
 def _cmd_run(args) -> int:
@@ -242,19 +234,7 @@ def _cmd_run(args) -> int:
     if problem:
         sys.stderr.write("run: " + problem)
         return 2
-    _normalize_tier_flags(args)
-    if args.sanitize and args.target:
-        sys.stderr.write("run: --sanitize applies to the interpreter "
-                         "engines only, not --target\n")
-        return 2
-    if args.tier2 and args.target:
-        sys.stderr.write("run: --tier2 applies to the interpreter "
-                         "engines only, not --target\n")
-        return 2
-    if args.tier2 and args.sanitize:
-        sys.stderr.write("run: --sanitize pins execution to tier 1; "
-                         "--tier2 has no effect under llva-san\n")
-        return 2
+    config = EngineConfig.from_args(args, "run")
     try:
         if args.target:
             target = make_target(args.target)
@@ -269,25 +249,13 @@ def _cmd_run(args) -> int:
             if args.stats:
                 sys.stderr.write(_format_stats_line(args.target, value))
         else:
-            engine = args.engine
-            tier2_cache = _make_tier2_cache(module, args) \
-                if args.tier2 else False
-            interpreter = Interpreter(module,
-                                      privileged=args.privileged,
-                                      engine=engine,
-                                      sanitize=args.sanitize,
-                                      tier2=tier2_cache)
-            result = interpreter.run(args.entry, program_args)
-            if tier2_cache:
-                # flush_storage drains in-flight background compiles
-                # first, so async stats and persistence are complete.
-                tier2_cache.flush_storage()
-                tier2_cache.close()
+            _interpreter, result = _interpret(module, config, args,
+                                              program_args)
             sys.stdout.write(result.output)
             value, status = result.return_value, result.exit_status
             if args.stats:
-                label = "tier2" if args.tier2 else (
-                    "fast" if engine == "fast" else "interp")
+                label = "tier2" if config.tier2 else (
+                    "fast" if config.engine == "fast" else "interp")
                 sys.stderr.write(_format_stats_line(label, value))
     except ExecutionTrap as trap:
         sys.stderr.write("trap: {0}\n".format(trap))
@@ -505,15 +473,7 @@ def _cmd_stats(args) -> int:
     if problem:
         sys.stderr.write("stats: " + problem)
         return 2
-    _normalize_tier_flags(args)
-    if args.sanitize and args.target:
-        sys.stderr.write("stats: --sanitize applies to the interpreter "
-                         "engines only, not --target\n")
-        return 2
-    if args.tier2 and (args.target or args.sanitize):
-        sys.stderr.write("stats: --tier2 applies to the unsanitized "
-                         "interpreter engines only\n")
-        return 2
+    config = EngineConfig.from_args(args, "stats")
     profile = None
     try:
         if args.target:
@@ -530,18 +490,8 @@ def _cmd_stats(args) -> int:
             result_value = report.return_value
             profile = read_profile(profile_map, llee.last_simulator)
         else:
-            engine = args.engine
-            tier2_cache = _make_tier2_cache(module, args) \
-                if args.tier2 else False
-            interpreter = Interpreter(module,
-                                      privileged=args.privileged,
-                                      engine=engine,
-                                      sanitize=args.sanitize,
-                                      tier2=tier2_cache)
-            result = interpreter.run(args.entry, program_args)
-            if tier2_cache:
-                tier2_cache.flush_storage()
-                tier2_cache.close()
+            interpreter, result = _interpret(module, config, args,
+                                             program_args)
             (sys.stderr if args.json else sys.stdout).write(
                 result.output)
             result_value = result.return_value
@@ -759,37 +709,14 @@ def _cmd_profile(args) -> int:
     if problem:
         sys.stderr.write("profile: " + problem)
         return 2
-    # profile defaults to the full tiered pipeline; --no-* flags
-    # peel layers off for A/B comparisons
-    tier2_on = args.engine == "fast" and not args.no_tier2
-    args.tier2 = tier2_on
-    args.superblocks = tier2_on and not args.no_superblocks
-    args.osr = tier2_on and not args.no_osr
-    args.async_compile = tier2_on and \
-        getattr(args, "async_compile", False)
+    config = EngineConfig.from_args(args, "profile")
     profiler = StepProfiler(record_stack=bool(args.speedscope))
-    tier2_cache = _make_tier2_cache(module, args) if tier2_on else False
-    interpreter = Interpreter(module,
-                              privileged=args.privileged,
-                              engine=args.engine,
-                              tier2=tier2_cache,
-                              profiler=profiler)
     try:
-        result = interpreter.run(args.entry, program_args)
+        interpreter, result = _interpret(module, config, args,
+                                         program_args, profiler=profiler)
     except ExecutionTrap as trap:
         sys.stderr.write("trap: {0}\n".format(trap))
         return 128 + trap.trap_number
-    finally:
-        if tier2_cache:
-            tier2_cache.flush_storage()
-            stats = tier2_cache.stats
-            if stats.swap_ins:
-                # Background compile work never shows up in frame-
-                # boundary accounting; report it alongside.
-                profiler.note_background_compiles(
-                    stats.swap_ins, stats.compile_seconds,
-                    stats.swap_wait_seconds)
-            tier2_cache.close()
     # under --json stdout carries only the document; the program's own
     # output moves to stderr
     (sys.stderr if args.json else sys.stdout).write(result.output)
@@ -829,15 +756,14 @@ def _add_flight_flag(sub) -> None:
              "bounded ring buffer and write it as JSONL")
 
 
-def _add_async_flags(sub) -> None:
+def _add_engine_flags(sub, command: str) -> None:
+    """The execution options (see :class:`EngineConfig`) plus the
+    tier-2 translation cache they may persist to."""
+    EngineConfig.add_arguments(sub, command)
     sub.add_argument(
-        "--async-compile", action="store_true",
-        help="compile tier-2 units on a background worker instead of "
-             "on the promoting call; units swap in at the next safe "
-             "point (implies --tier2)")
-    sub.add_argument(
-        "--compile-workers", type=int, default=None, metavar="N",
-        help="background compile worker threads (default 1)")
+        "--translation-cache", metavar="DIR",
+        help="persist tier-2 translations in DIR (POSIX storage API) "
+             "for cross-process warm starts")
     sub.add_argument(
         "--cache-max-bytes", type=int, default=None, metavar="BYTES",
         help="LRU size budget per --translation-cache cache "
@@ -896,43 +822,13 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="execute (interpreter, or --target JIT)")
     run.add_argument("input")
     run.add_argument("--target", choices=("x86", "sparc"))
-    run.add_argument("--engine", choices=("fast", "reference"),
-                     default="reference",
-                     help="interpreter engine (ignored with --target): "
-                          "'fast' is the pre-decoded closure-threaded "
-                          "engine, 'reference' the semantic oracle")
     run.add_argument("--entry", default="main")
     run.add_argument("--privileged", action="store_true")
     run.add_argument("--vectorize", action="store_true",
                      help="run the loop autovectorizer over the "
                           "loaded module before execution (compose "
                           "with any engine, tier, or --sanitize)")
-    run.add_argument("--sanitize", action="store_true",
-                     help="run under llva-san: shadow-memory checking "
-                          "with redzones, a free quarantine, and "
-                          "per-allocation fault reports (interpreter "
-                          "engines only)")
-    run.add_argument("--tier2", action="store_true",
-                     help="enable the tiered translator: hot functions "
-                          "are compiled to Python bytecode "
-                          "(implies --engine fast)")
-    run.add_argument("--tier2-threshold", type=int, default=None,
-                     metavar="N",
-                     help="invocations before a function is promoted "
-                          "to tier 2 (0 = compile on first call)")
-    run.add_argument("--superblocks", action="store_true",
-                     help="tier 2 compiles hot traces as straight-line "
-                          "superblocks guided by the block profile "
-                          "(implies --tier2)")
-    run.add_argument("--osr", action="store_true",
-                     help="on-stack replacement: a tier-1 activation "
-                          "stuck in a hot loop enters tier 2 "
-                          "mid-function (implies --tier2)")
-    run.add_argument("--translation-cache", metavar="DIR",
-                     help="persist tier-2 translations in DIR "
-                          "(POSIX storage API) for cross-process "
-                          "warm starts")
-    _add_async_flags(run)
+    _add_engine_flags(run, "run")
     run.add_argument("--stats", action="store_true")
     _add_observe_flags(run)
     _add_flight_flag(run)
@@ -956,39 +852,18 @@ def build_parser() -> argparse.ArgumentParser:
                        help="pretty-print an exported --metrics file "
                             "instead of running")
     stats.add_argument("--target", choices=("x86", "sparc"))
-    stats.add_argument("--engine", choices=("fast", "reference"),
-                       default="reference",
-                       help="interpreter engine (ignored with --target)")
     stats.add_argument("-O", "--optimize", type=int, default=0)
     stats.add_argument("--vectorize", action="store_true",
                        help="append the loop autovectorizer to the "
                             "optimization pipeline")
     stats.add_argument("--entry", default="main")
     stats.add_argument("--privileged", action="store_true")
-    stats.add_argument("--sanitize", action="store_true",
-                       help="run under llva-san (interpreter engines "
-                            "only)")
     stats.add_argument("--top", type=int, default=10,
                        help="rows in the opcode/hot-block tables")
     stats.add_argument("--cache", metavar="DIR",
                        help="LLEE translation cache directory "
                             "(enables cache hits across runs)")
-    stats.add_argument("--tier2", action="store_true",
-                       help="enable the tiered translator "
-                            "(implies --engine fast)")
-    stats.add_argument("--tier2-threshold", type=int, default=None,
-                       metavar="N",
-                       help="promotion threshold (0 = first call)")
-    stats.add_argument("--superblocks", action="store_true",
-                       help="trace-guided superblock tier-2 codegen "
-                            "(implies --tier2)")
-    stats.add_argument("--osr", action="store_true",
-                       help="on-stack replacement at hot loop headers "
-                            "(implies --tier2)")
-    stats.add_argument("--translation-cache", metavar="DIR",
-                       help="persist tier-2 translations in DIR for "
-                            "cross-process warm starts")
-    _add_async_flags(stats)
+    _add_engine_flags(stats, "stats")
     stats.add_argument("--json", action="store_true",
                        help="emit the report as JSON instead of the "
                             "human-readable rendering")
@@ -1003,10 +878,6 @@ def build_parser() -> argparse.ArgumentParser:
              "per-tier steps and wall time, the JIT lifecycle, and "
              "deopt reasons (tier2+superblocks+OSR on by default)")
     profile.add_argument("input")
-    profile.add_argument("--engine", choices=("fast", "reference"),
-                         default="fast",
-                         help="interpreter engine (tier 2 requires "
-                              "'fast', the default)")
     profile.add_argument("-O", "--optimize", type=int, default=0)
     profile.add_argument("--vectorize", action="store_true",
                          help="append the loop autovectorizer to the "
@@ -1015,19 +886,7 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--privileged", action="store_true")
     profile.add_argument("--top", type=int, default=10,
                          help="rows in the hot-function table")
-    profile.add_argument("--no-tier2", action="store_true",
-                         help="profile pure tier-1 execution")
-    profile.add_argument("--no-superblocks", action="store_true",
-                         help="tier 2 without trace-guided superblocks")
-    profile.add_argument("--no-osr", action="store_true",
-                         help="tier 2 without on-stack replacement")
-    profile.add_argument("--tier2-threshold", type=int, default=None,
-                         metavar="N",
-                         help="promotion threshold (0 = first call)")
-    profile.add_argument("--translation-cache", metavar="DIR",
-                         help="persist tier-2 translations in DIR for "
-                              "cross-process warm starts")
-    _add_async_flags(profile)
+    _add_engine_flags(profile, "profile")
     profile.add_argument("--json", action="store_true",
                          help="emit the profile as JSON instead of "
                               "the human-readable report")
@@ -1067,6 +926,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         with observe.span("cli." + args.command):
             status = args.func(args)
+    except ConfigError as error:
+        sys.stderr.write("{0}: {1}\n".format(args.command, error))
+        status = 2
     finally:
         export_failed = False
         if observing:

@@ -22,6 +22,29 @@ int main() {
 """
 
 
+#: A hot loop in main (entered through OSR) followed by a function
+#: called often enough to promote and form superblocks.
+LAYERED_PROGRAM = """
+int inner(int n) {
+    int s = 0;
+    int i;
+    for (i = 0; i < n; i = i + 1) {
+        if (i % 3 == 0) s = s + i; else s = s - 1;
+    }
+    return s;
+}
+int main() {
+    int t = 0;
+    int k;
+    for (k = 0; k < 6000; k = k + 1) { t = t + (k & 7); }
+    for (k = 0; k < 40; k = k + 1) t = t + inner(60);
+    print_int(t);
+    print_newline();
+    return 0;
+}
+"""
+
+
 @pytest.fixture()
 def prog_bc(tmp_path, capsys):
     source = tmp_path / "prog.c"
@@ -265,6 +288,39 @@ class TestProfileCommand:
         assert document["tier2_steps"] == 0
         assert document["tier1_steps"] == document["steps"] > 0
         assert "tier2" not in document
+
+    def test_engine_reference_and_no_flags_peel_one_layer(
+            self, tmp_path, capsys):
+        """--engine reference profiles tier 1 only (tier 2 defaults on
+        for the fast engine alone), and each --no-* flag removes
+        just its own layer."""
+        source = tmp_path / "layers.c"
+        source.write_text(LAYERED_PROGRAM)
+        bc = str(tmp_path / "layers.bc")
+        assert main(["cc", str(source), "-o", bc, "-O", "2"]) == 0
+        capsys.readouterr()
+        runs = {}
+        for flags in ((), ("--engine", "reference"),
+                      ("--no-superblocks",), ("--no-osr",)):
+            code, out, _err = _capture(
+                ["profile", bc, "--json"] + list(flags), capsys)
+            assert code == 0
+            runs[flags] = json.loads(out)
+        reference = runs[("--engine", "reference")]
+        assert reference["tier2_steps"] == 0
+        assert reference["tier1_steps"] == reference["steps"] > 0
+        assert "tier2" not in reference
+
+        def layers(flags):
+            tier2 = runs[flags]["tier2"]
+            return (tier2["superblocks_compiled"] > 0,
+                    tier2["osr_entries"] > 0)
+
+        assert layers(()) == (True, True)
+        assert layers(("--no-superblocks",)) == (False, True)
+        assert layers(("--no-osr",)) == (True, False)
+        assert all(run["steps"] == reference["steps"]
+                   for run in runs.values())
 
     def test_speedscope_export(self, prog_bc, tmp_path, capsys):
         scope = tmp_path / "profile.speedscope.json"

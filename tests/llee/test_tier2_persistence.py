@@ -290,6 +290,41 @@ class TestLLEEIntegration:
             reference.return_value, reference.output, reference.steps,
             reference.exit_status)
 
+    @pytest.mark.parametrize("option",
+                             ["superblocks", "osr", "async_compile"])
+    def test_tier2_option_alone_runs_tier2(self, object_code, option):
+        """Each tier-2 option implies tier2=True on its own, as the
+        matching ``repro run`` flag does."""
+        llee = LLEE(make_target("x86"))
+        try:
+            reference = llee.run_interpreted(object_code,
+                                             engine="reference")
+            report = llee.run_interpreted(object_code, tier2_threshold=0,
+                                          **{option: True})
+            if option == "async_compile":
+                # The first run's background compiles land at exit;
+                # the cached tier-2 cache runs them from the next run.
+                report = llee.run_interpreted(
+                    object_code, tier2_threshold=0, async_compile=True)
+                assert report.cache_hit
+        finally:
+            llee.close()
+        assert report.config.tier2 and getattr(report.config, option)
+        assert report.tier2_steps > 0
+        assert (report.return_value, report.output, report.steps,
+                report.exit_status) == (
+            reference.return_value, reference.output, reference.steps,
+            reference.exit_status)
+
+    def test_tier2_overrides_reference_engine(self, object_code):
+        """tier2=True implies the fast engine, as ``repro run --tier2
+        --engine reference`` does."""
+        report = LLEE(make_target("x86")).run_interpreted(
+            object_code, engine="reference", tier2=True,
+            tier2_threshold=0)
+        assert report.engine == report.config.engine == "fast"
+        assert report.tier2_steps > 0
+
     def test_corrupt_persisted_blob_degrades_gracefully(
             self, object_code):
         storage = InMemoryStorage()
