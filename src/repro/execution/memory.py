@@ -20,6 +20,7 @@ two V-ABI configurations — which the differential tests exercise.
 from __future__ import annotations
 
 import bisect as _bisect
+import mmap as _mmap
 import struct as _struct
 from typing import Dict, List, Tuple
 
@@ -55,6 +56,10 @@ class Memory:
     Arenas keep every access O(1): the heap arena in particular grows in
     large chunks instead of one region per ``malloc`` (a program making
     thousands of allocations would otherwise pay a per-access scan).
+
+    A run pays only for the memory it touches: the fixed-size stack
+    arena is an anonymous mapping the kernel zero-fills page by page
+    on first touch, and the heap arena starts empty.
     """
 
     #: Shadow-metadata hook; :class:`SanitizedMemory` replaces this with
@@ -68,7 +73,7 @@ class Memory:
         self._global_cursor = GLOBAL_BASE
         self._global_arena = bytearray(64 * 1024)
         self._heap_cursor = HEAP_BASE
-        self._heap_arena = bytearray(_HEAP_CHUNK)
+        self._heap_arena = bytearray()
         self._free_lists: Dict[int, List[int]] = {}
         self._alloc_sizes: Dict[int, int] = {}
         # Freed-but-not-reallocated blocks, kept unmapped: sorted start
@@ -78,7 +83,7 @@ class Memory:
         self._freed_sizes: Dict[int, int] = {}
         self.stack_pointer = STACK_TOP
         self.stack_limit = stack_limit
-        self._stack_arena = bytearray(stack_limit)
+        self._stack_arena = _mmap.mmap(-1, stack_limit)
         self._stack_base = STACK_TOP - stack_limit
         # Extra regions (llva.pagetable.map): few, scanned linearly.
         self._regions: List[Tuple[int, bytearray]] = []
@@ -96,7 +101,7 @@ class Memory:
         self._regions.append((base, bytearray(size)))
 
     def _find_region(self, address: int,
-                     size: int) -> Tuple[int, bytearray]:
+                     size: int) -> Tuple[int, bytearray | _mmap.mmap]:
         # Only addresses at or above the live stack pointer are mapped
         # stack; [_stack_base, stack_pointer) is unallocated headroom.
         if self.stack_pointer <= address \
@@ -250,7 +255,7 @@ class Memory:
             if end > len(self._heap_arena):
                 grow = _align_up(end - len(self._heap_arena),
                                  _HEAP_CHUNK)
-                self._heap_arena.extend(bytearray(grow))
+                self._heap_arena.extend(bytes(grow))
             self._heap_cursor += size
         self._alloc_sizes[address] = size
         self.heap_allocated += size

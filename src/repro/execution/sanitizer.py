@@ -325,7 +325,7 @@ class SanitizedMemory(Memory):
         end = chunk_end - HEAP_BASE
         if end > len(self._heap_arena):
             grow = _align_up(end - len(self._heap_arena), _HEAP_CHUNK)
-            self._heap_arena.extend(bytearray(grow))
+            self._heap_arena.extend(bytes(grow))
         self._heap_cursor = chunk_end
         base = chunk_start - HEAP_BASE
         self._heap_arena[base:base + (payload - chunk_start)] = \

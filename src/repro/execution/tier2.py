@@ -116,7 +116,9 @@ from repro.ir.values import (
 #: carries the ``__vlanes`` observability hook.
 #: v5: contiguous vload/vstore go through one bulk read/write (single
 #: region lookup, one struct format) with a per-lane replay on fault.
-TIER2_VERSION = 5
+#: v6: profiling-stage units persist too, and load warm with fresh
+#: block counters.
+TIER2_VERSION = 6
 
 #: Tier-1 invocations before a function is promoted (0 = immediately).
 DEFAULT_THRESHOLD = 16
@@ -190,10 +192,11 @@ class CompiledUnit:
         self.code = code
         #: "dispatch" (one arm per block), "superblock" (trace-guided
         #: straight-line arms), or "profiling" (block dispatch plus
-        #: per-block counters feeding trace formation; never persisted).
+        #: per-block counters feeding trace formation).
         self.kind = kind
         #: Signature of the trace layout the unit was generated from
-        #: ("-" = plain dispatch); part of the persistent key, so a
+        #: ("-" = plain dispatch, "profiling@N" = profiling stage with
+        #: upgrade threshold N); part of the persistent key, so a
         #: profile change invalidates stale superblocks.
         self.layout_hash = layout_hash
         #: Deopt metadata: one (from-block, to-block) name pair per
@@ -1774,8 +1777,18 @@ class Tier2Cache:
         capture everything the builder needs so it never touches
         shared mutable state."""
         layout = self._layout_for(function)
-        from repro.llee.tracecache import layout_signature
-        lhash = layout_signature(layout)
+        profiling = layout is None and self.superblocks \
+            and len(function.blocks) > 1 \
+            and not self._has_profile_data(function)
+        if profiling:
+            # The profiling stage bakes its upgrade threshold into the
+            # code, so its signature names it: a persisted stage loads
+            # warm only while the function still has no profile, under
+            # the same threshold.
+            lhash = "profiling@{0}".format(self.superblock_threshold)
+        else:
+            from repro.llee.tracecache import layout_signature
+            lhash = layout_signature(layout)
         warm = self._preloaded.get(function.name)
         if warm is not None and warm[5].get("layout_hash", "-") != lhash:
             # The persisted unit was generated from a different trace
@@ -1794,9 +1807,7 @@ class Tier2Cache:
             warm = None
         if warm is not None and function.smc_version == 0:
             return _CompilePlan("warm", None, lhash, warm)
-        if layout is None and self.superblocks \
-                and len(function.blocks) > 1 \
-                and not self._has_profile_data(function):
+        if profiling:
             return _CompilePlan("profiling", None, lhash, None)
         return _CompilePlan("codegen", layout, lhash, None)
 
@@ -1813,21 +1824,22 @@ class Tier2Cache:
             # straight to compile(), or past it entirely when the blob
             # carried same-cache_tag marshalled bytecode.
             _hash, source, func_refs, num_slots, code, meta = plan.warm
+            kind = meta.get("kind", "dispatch")
             unit = build_unit(function, self.module, self.target,
                               source=source, func_refs=func_refs,
-                              num_slots=num_slots, code=code,
-                              kind=meta.get("kind", "dispatch"),
+                              num_slots=num_slots, code=code, kind=kind,
                               layout_hash=plan.layout_hash,
-                              side_exits=meta.get("side_exits", ()))
+                              side_exits=meta.get("side_exits", ()),
+                              block_counts=[0] * len(function.blocks)
+                              if kind == "profiling" else None)
             return unit, 0.0
         if plan.kind == "profiling":
             # Superblocks requested but no profile yet: compile the
             # profiling stage — block dispatch plus counters that feed
             # trace formation and trigger the mid-activation upgrade.
-            # Its source references the per-unit counter list, so it
-            # is never persisted.
+            # Its source reads the counter list from the unit's
+            # namespace, so a warm load gets fresh counters.
             codegen_started = time.perf_counter()
-            block_counts = [0] * len(function.blocks)
             source, func_refs, num_slots, side_exits = \
                 generate_source(
                     function, self.target, profile_blocks=True,
@@ -1836,7 +1848,8 @@ class Tier2Cache:
             unit = build_unit(function, self.module, self.target,
                               source=source, func_refs=func_refs,
                               num_slots=num_slots, kind="profiling",
-                              block_counts=block_counts)
+                              layout_hash=plan.layout_hash,
+                              block_counts=[0] * len(function.blocks))
             return unit, codegen_seconds
         codegen_started = time.perf_counter()
         source, func_refs, num_slots, side_exits = \
@@ -1860,9 +1873,9 @@ class Tier2Cache:
             self.stats.warm_compiles += 1
             if observe.enabled():
                 observe.counter("tier2.warm_compiles", 1)
-        elif plan.kind == "profiling":
-            self.stats.profiling_compiled += 1
         else:
+            if plan.kind == "profiling":
+                self.stats.profiling_compiled += 1
             self._dirty = True
         if unit.kind == "superblock":
             self.stats.superblocks_compiled += 1
@@ -2112,10 +2125,6 @@ class Tier2Cache:
         content hashes."""
         functions = {}
         for unit in self._units.values():
-            if unit.kind == "profiling":
-                # Profiling sources reference the per-unit counter
-                # list; they are a transient bootstrap, never persisted.
-                continue
             entry = {
                 "hash": unit.func_hash,
                 "num_slots": unit.num_slots,

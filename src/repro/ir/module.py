@@ -137,6 +137,10 @@ class GlobalValue(Constant):
 
     __slots__ = ("parent", "internal")
 
+    #: A symbol belongs to one module, and the linker, globalopt and
+    #: the call graph walk its uses.
+    tracks_uses = True
+
     def __init__(self, type_: Type, name: str, internal: bool = False):
         super().__init__(type_, name)
         self.parent: Optional["Module"] = None

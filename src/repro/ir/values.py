@@ -12,6 +12,12 @@ sparse SSA optimizations of Section 5.1 — constant propagation, dead code
 elimination, value numbering — efficient.  All operand mutation must go
 through :meth:`User.set_operand` / :meth:`Value.replace_all_uses_with` so
 the chains stay consistent; the verifier cross-checks them.
+
+Module-independent constants (``int 0``, ``true``, ``null``, …) are
+interned and shared by every module in a process, so they keep no use
+list (``tracks_uses = False``): one would grow with every module ever
+built and keep them all alive.  Global symbols belong to one module and
+do track their uses, which the linker, globalopt and the call graph read.
 """
 
 from __future__ import annotations
@@ -40,6 +46,9 @@ class Value:
     """Base class for everything that can appear as an operand."""
 
     __slots__ = ("type", "name", "uses", "__weakref__")
+
+    #: Do users record their uses of this value in :attr:`uses`?
+    tracks_uses = True
 
     def __init__(self, type_: Type, name: Optional[str] = None):
         self.type = type_
@@ -112,21 +121,25 @@ class User(Value):
         old = self._operands[index]
         if old is value:
             return
-        self._remove_use(old, index)
+        if old.tracks_uses:
+            self._remove_use(old, index)
         self._operands[index] = value
-        value.uses.append(Use(self, index))
+        if value.tracks_uses:
+            value.uses.append(Use(self, index))
 
     def _append_operand(self, value: Value) -> None:
         index = len(self._operands)
         self._operands.append(value)
-        value.uses.append(Use(self, index))
+        if value.tracks_uses:
+            value.uses.append(Use(self, index))
 
     def _pop_operands(self, start: int) -> None:
         """Drop operands from *start* to the end (phi edge removal)."""
         while len(self._operands) > start:
             index = len(self._operands) - 1
-            self._remove_use(self._operands[index], index)
-            self._operands.pop()
+            value = self._operands.pop()
+            if value.tracks_uses:
+                self._remove_use(value, index)
 
     def _remove_use(self, value: Value, index: int) -> None:
         for position, use in enumerate(value.uses):
@@ -150,6 +163,9 @@ class Constant(Value):
     """Base class for compile-time constant values."""
 
     __slots__ = ()
+
+    #: Shared across modules, so no use list (see the module docstring).
+    tracks_uses = False
 
     def ref(self) -> str:
         return "{0} {1}".format(self.type, self.literal())

@@ -10,7 +10,8 @@ structural invariants that constructors cannot see:
   incoming entry per CFG predecessor;
 * SSA dominance — every use is dominated by its definition;
 * returns match the function signature;
-* def-use chains are internally consistent (a safety net for transforms).
+* def-use chains are internally consistent in both directions (a safety
+  net for transforms).
 
 Translators run the verifier on input object code before generating native
 code; the test suite runs it after every transformation.
@@ -142,7 +143,10 @@ def _verify_ret(function: Function, ret: insts.RetInst,
 
 def _verify_use_chains(inst: insts.Instruction, errors: List[str],
                        where: str) -> None:
+    # Forward: every tracked operand lists this operand slot as a use.
     for index, operand in enumerate(inst.operands):
+        if not operand.tracks_uses:
+            continue
         for use in operand.uses:
             if use.user is inst and use.index == index:
                 break
@@ -150,6 +154,16 @@ def _verify_use_chains(inst: insts.Instruction, errors: List[str],
             errors.append(
                 where + "operand {0} of '{1}' missing from use list"
                 .format(index, format_instruction(inst)))
+    # Reverse: every use of this instruction is a live operand slot.
+    for use in inst.uses:
+        user = use.user
+        if use.index >= user.num_operands \
+                or user.operand(use.index) is not inst:
+            errors.append(
+                where + "use list of '{0}' holds a stale entry: "
+                "operand {1} of '{2}' is another value".format(
+                    format_instruction(inst), use.index,
+                    format_instruction(user)))
 
 
 def _verify_ssa_uses(function: Function, inst: insts.Instruction,

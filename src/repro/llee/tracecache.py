@@ -81,7 +81,11 @@ def form_function_traces(function: Function, profile: Profile,
 def _best_successor_of(block: BasicBlock, counts: Dict[str, int],
                        claimed: Set[int], hot_threshold: int,
                        successor_bias: float) -> Optional[BasicBlock]:
-    successors = [s for s in set(block.successors())
+    # Terminator order, not set order: a tie between equally hot
+    # successors must break the same way in every process, or the
+    # layout (and with it the persisted superblock) would change from
+    # one launch to the next.
+    successors = [s for s in dict.fromkeys(block.successors())
                   if id(s) not in claimed]
     if not successors:
         return None

@@ -1,9 +1,14 @@
 """Memory model tests: regions, typed access, endianness, allocator."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import repro
 from repro.execution.events import ExecutionTrap, TrapKind
 from repro.execution.memory import (
     GLOBAL_BASE,
@@ -238,3 +243,43 @@ class TestStack:
         assert not memory.is_mapped(probe)
         frame = memory.push_frame(256)
         assert memory.is_mapped(frame)  # now above the live pointer
+
+
+class TestFootprint:
+    """A fresh Memory costs only the pages a run touches: the stack
+    arena is zero-filled by the kernel on first touch and the heap
+    arena starts empty."""
+
+    SCRIPT = r"""
+import resource
+from repro.execution.memory import Memory
+from repro.ir.types import TargetData
+
+def peak_kb():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+before = peak_kb()
+alive = []
+for _ in range(8):
+    memory = Memory(TargetData(8, "little"))
+    frame = memory.push_frame(64)
+    memory.write_bytes(frame, b"x" * 64)
+    alive.append(memory)
+print(peak_kb() - before)
+"""
+
+    def test_eight_fresh_memories_stay_small(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.dirname(os.path.dirname(repro.__file__))]
+            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        result = subprocess.run([sys.executable, "-c", self.SCRIPT],
+                                capture_output=True, text=True, env=env,
+                                check=True)
+        grown_kb = int(result.stdout.strip())
+        assert grown_kb < 16 * 1024, grown_kb
+
+    def test_untouched_stack_reads_zero(self):
+        memory = _memory()
+        frame = memory.push_frame(4096)
+        assert memory.read_bytes(frame, 4096) == bytes(4096)

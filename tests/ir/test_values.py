@@ -1,11 +1,16 @@
 """Tests for values, constants, and def-use chains."""
 
+import gc
+import weakref
+
 import pytest
 
-from repro.ir import types
+from repro.benchsuite import SUITE_ORDER, load_workload
+from repro.ir import types, verify_module
 from repro.ir import values as V
 from repro.ir.instructions import AddInst, MulInst
 from repro.ir.types import LlvaTypeError
+from repro.minic import compile_source
 
 
 class TestConstants:
@@ -115,3 +120,36 @@ class TestUseChains:
         assert not a.has_uses()
         assert not b.has_uses()
         assert inst.num_operands == 0
+
+    def test_constant_operands_keep_no_uses(self):
+        a, _ = self._fresh()
+        seven = V.const_int(types.INT, 7)
+        inst = AddInst(a, seven)
+        assert not seven.has_uses()
+        inst.set_operand(1, a)
+        inst.set_operand(0, seven)
+        inst.drop_all_references()
+        assert not seven.has_uses() and not a.has_uses()
+
+
+class TestInternedConstantsKeepNoUses:
+    """Interned constants are shared by every module in a process; a
+    use list on them would grow with every module ever built and keep
+    each of those modules alive."""
+
+    def test_compiled_rows_leave_no_uses_and_free_modules(self):
+        rows = [SUITE_ORDER[i % len(SUITE_ORDER)] for i in range(20)]
+        dropped = None
+        for name in rows:
+            module = compile_source(load_workload(name, 0.05).source,
+                                    name, optimization_level=2)
+            verify_module(module)
+            if dropped is None:
+                dropped = weakref.ref(module)
+            del module
+        gc.collect()
+        assert dropped() is None
+        interned = [V.TRUE, V.FALSE, *V._int_cache.values(),
+                    *V._null_cache.values(), *V._undef_cache.values(),
+                    *V._zero_cache.values()]
+        assert [c for c in interned if c.uses] == []

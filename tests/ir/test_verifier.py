@@ -4,7 +4,7 @@ import pytest
 
 from repro.ir import IRBuilder, Module, types, verify_module
 from repro.ir import instructions as insts
-from repro.ir.values import const_bool, const_int
+from repro.ir.values import Use, const_bool, const_int
 from repro.ir.verifier import VerificationError
 
 
@@ -154,3 +154,16 @@ class TestUseChainChecks:
         # Corrupt: bypass set_operand.
         ret._operands[0] = const_int(types.INT, 9)
         _expect_error(module, "use list")
+
+    def test_stale_use_entry_detected(self):
+        module, f = _module_with_main()
+        entry = f.add_block("entry")
+        b = IRBuilder(entry)
+        v = b.add(const_int(types.INT, 1), const_int(types.INT, 2))
+        w = b.add(v, const_int(types.INT, 3))
+        b.ret(w)
+        ret = entry.terminator
+        verify_module(module)
+        # Corrupt: v claims ret's operand 0, which is w.
+        v.uses.append(Use(ret, 0))
+        _expect_error(module, "holds a stale entry")

@@ -15,6 +15,7 @@ import time
 import pytest
 
 from repro import observe
+from repro.benchsuite import load_workload
 from repro.bitcode import read_module, write_module
 from repro.execution import Interpreter
 from repro.execution.tier2 import TIER2_CACHE_NAME, Tier2Cache
@@ -347,6 +348,30 @@ class TestLLEEIntegration:
         assert report.sanitized
         assert report.tier2_steps == 0
         assert report.tier2_functions_compiled == 0
+
+
+class TestWarmLaunchesCompileNothing:
+    """Profiling-stage units persist like every other unit, so a
+    function that stays under the superblock threshold in one run is
+    not re-profiled and recompiled on every warm launch."""
+
+    @pytest.mark.parametrize("program",
+                             ["anagram", "twolf", "vortex", "parser"])
+    def test_third_launch_loads_every_unit_warm(self, program, tmp_path):
+        module = compile_source(load_workload(program, 0.05).source,
+                                program, optimization_level=2)
+        object_code = write_module(module)
+        storage = DiskStorage(str(tmp_path))
+        cold, _warm, third = [
+            LLEE(make_target("x86"), storage).run_interpreted(
+                object_code, tier2=True, superblocks=True, osr=True)
+            for _ in range(3)]
+        assert third.translation_cache_hit
+        assert third.tier2_functions_compiled > 0
+        assert third.tier2_functions_compiled == third.tier2_warm_compiles
+        assert (third.return_value, third.output, third.steps,
+                third.exit_status) == (cold.return_value, cold.output,
+                                       cold.steps, cold.exit_status)
 
 
 class TestNativeCacheInvalidMetric:

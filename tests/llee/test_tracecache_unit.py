@@ -5,6 +5,7 @@ import pytest
 from repro.asm import parse_module
 from repro.ir import verify_module
 from repro.llee import Profile, SoftwareTraceCache
+from repro.llee.tracecache import form_function_traces
 
 SOURCE = """
 int %hot_loop(int %n) {
@@ -59,6 +60,21 @@ class TestTraceFormation:
         assert names[0] == "header"
         assert "common" in names
         assert "rare" not in names  # the cold side stays off-trace
+
+    def test_tie_follows_terminator_order(self):
+        """Equally hot successors break the tie by terminator order in
+        every fresh module, so a persisted layout stays valid across
+        launches."""
+        profile = _profile({
+            "entry": 1, "header": 1000, "body": 999, "common": 500,
+            "rare": 500, "latch": 999, "exit": 1,
+        })
+        for _ in range(16):
+            fresh = parse_module(SOURCE)
+            traces = form_function_traces(
+                fresh.functions["hot_loop"], profile, hot_threshold=50)
+            names = [b.name for b in traces[0].blocks]
+            assert names[:3] == ["header", "body", "rare"]
 
     def test_cold_code_forms_no_traces(self, module):
         profile = _profile({name: 2 for name in
